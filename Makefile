@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build falcon-vet falcon-vet-diff vet-fix test race bench scale
+.PHONY: check fmt vet build falcon-vet falcon-vet-diff vet-fix test perfbench race bench scale
 
-check: fmt vet build falcon-vet test race
+check: fmt vet build falcon-vet test perfbench race
 	@echo "all gates passed"
 
 fmt:
@@ -37,6 +37,12 @@ vet-fix:
 
 test:
 	$(GO) test ./...
+
+# perfbench builds, vets and tests the wall-clock benchmark module. It is a
+# module of its own (replace falcon => ../), so the root ./... never
+# compiles it, yet it calls the feature, model and serve APIs.
+perfbench:
+	cd _perfbench && $(GO) build -o /dev/null ./... && $(GO) vet ./... && $(GO) test ./...
 
 # The race gate also runs the vet engine's parallel scheduler and cache
 # under the detector: the serial/parallel/cached byte-identity tests

@@ -81,7 +81,7 @@ type Input struct {
 	// Indexes must contain every index Analysis needs (for the index-based
 	// strategies).
 	Indexes *filters.Indexes
-	// Vectorizer computes blocking-feature vectors for final rule checks.
+	// Vectorizer computes the blocking features the final rule checks read.
 	Vectorizer *feature.Vectorizer
 	// ClauseSel gives each clause's selectivity (fraction of sample pairs
 	// surviving the corresponding rule); used by ApplyGreedy.
@@ -129,10 +129,17 @@ func TableBytes(t *table.Table) int64 {
 	return b
 }
 
-// keepPair evaluates the full CNF rule on a pair.
-func (in *Input) keepPair(p table.Pair) bool {
-	vec := in.Vectorizer.BlockingVector(p)
-	return in.Analysis.CNF.Keep(vec.Values)
+// evaluator returns a pooled on-demand evaluator over the blocking
+// features; callers Release it when their record or key group is done.
+func (in *Input) evaluator() *feature.PairEval {
+	return in.Vectorizer.Eval(in.Vectorizer.Set.BlockingIdx)
+}
+
+// keeps reports whether Q keeps pair p. It checks Q clause by clause in
+// the Analysis.Verify order and computes only the features those clauses
+// read.
+func (in *Input) keeps(e *feature.PairEval, p table.Pair) bool {
+	return in.Analysis.Verify.KeepOn(e.Reset(p))
 }
 
 func (in *Input) evalCost() int64 {
@@ -178,7 +185,7 @@ func run(ctx context.Context, cluster *mapreduce.Cluster, in *Input, s Strategy,
 	case ApplyAll:
 		return in.runClausePass(ctx, cluster, s, in.Analysis.FilterableClauses(), sink)
 	case ApplyGreedy:
-		return in.runClausePass(ctx, cluster, s, []int{in.mostSelectiveClause()}, sink)
+		return in.runClausePass(ctx, cluster, s, []int{in.Analysis.MostSelectiveClause(in.ClauseSel)}, sink)
 	case ApplyConjunct:
 		return in.runIntersect(ctx, cluster, s, false, sink)
 	case ApplyPredicate:
@@ -190,27 +197,6 @@ func run(ctx context.Context, cluster *mapreduce.Cluster, in *Input, s Strategy,
 	default:
 		return nil, fmt.Errorf("block: unknown strategy %v", s)
 	}
-}
-
-// mostSelectiveClause returns the filterable clause with the lowest
-// selectivity (drops the most pairs).
-func (in *Input) mostSelectiveClause() int {
-	best, bestSel := -1, 2.0
-	for _, ci := range in.Analysis.FilterableClauses() {
-		sel := 1.0
-		if ci < len(in.ClauseSel) {
-			sel = in.ClauseSel[ci]
-		}
-		if sel < bestSel {
-			best, bestSel = ci, sel
-		}
-	}
-	if best == -1 {
-		// No filterable clause: caller should have picked a baseline, but
-		// degrade gracefully by signalling "no pruning" with clause -1.
-		return -1
-	}
-	return best
 }
 
 // bRows returns B's row numbers split for the cluster, interleaving-style
@@ -268,13 +254,15 @@ func (in *Input) runClausePass(ctx context.Context, cluster *mapreduce.Cluster, 
 			})
 		},
 		Reduce: func(aid int32, bRows []int32, ctx *mapreduce.ReduceCtx[table.Pair]) {
-			in.Vectorizer.BlockingVectorsBatch(int(aid), bRows, func(i int, values []float64) {
+			e := in.evaluator()
+			for _, bRow := range bRows {
 				ctx.AddCost(evalCost)
 				ctx.Inc(counterEnumerated, 1)
-				if in.Analysis.CNF.Keep(values) {
-					ctx.Output(table.Pair{A: int(aid), B: int(bRows[i])})
+				if p := (table.Pair{A: int(aid), B: int(bRow)}); in.keeps(e, p) {
+					ctx.Output(p)
 				}
-			})
+			}
+			e.Release()
 		},
 	}
 	res, err := mapreduce.RunContext(ctx, cluster, job)
@@ -389,9 +377,11 @@ func (in *Input) runIntersect(ctx context.Context, cluster *mapreduce.Cluster, s
 			p := unpairKey(key)
 			ctx.AddCost(evalCost)
 			ctx.Inc(counterEnumerated, 1)
-			if in.keepPair(p) {
+			e := in.evaluator()
+			if in.keeps(e, p) {
 				ctx.Output(p)
 			}
+			e.Release()
 		},
 	}
 	res, err := mapreduce.RunContext(ctx, cluster, job)
@@ -412,14 +402,16 @@ func (in *Input) runMapSide(ctx context.Context, cluster *mapreduce.Cluster, sin
 		Sink:   sink,
 		Splits: in.bRows(cluster),
 		Map: func(bRow int, ctx *mapreduce.MapOnlyCtx[table.Pair]) {
+			e := in.evaluator()
 			for a := 0; a < in.A.Len(); a++ {
 				p := table.Pair{A: a, B: bRow}
 				ctx.AddCost(evalCost)
 				ctx.Inc(counterEnumerated, 1)
-				if in.keepPair(p) {
+				if in.keeps(e, p) {
 					ctx.Output(p)
 				}
 			}
+			e.Release()
 		},
 	}
 	res, err := mapreduce.RunMapOnlyContext(ctx, cluster, job)
@@ -451,9 +443,11 @@ func (in *Input) runReduceSplit(ctx context.Context, cluster *mapreduce.Cluster,
 			p := unpairKey(key)
 			ctx.AddCost(evalCost)
 			ctx.Inc(counterEnumerated, 1)
-			if in.keepPair(p) {
+			e := in.evaluator()
+			if in.keeps(e, p) {
 				ctx.Output(p)
 			}
+			e.Release()
 		},
 	}
 	res, err := mapreduce.RunContext(ctx, cluster, job)
@@ -500,7 +494,7 @@ func Choose(cluster *mapreduce.Cluster, in *Input, seqSel float64) Strategy {
 	if mem <= 0 {
 		mem = 2 << 30
 	}
-	ci := in.mostSelectiveClause()
+	ci := in.Analysis.MostSelectiveClause(in.ClauseSel)
 	if ci >= 0 {
 		selC := in.ClauseSel[ci]
 		if selC > 0 && seqSel/selC > greedyRatio && MemoryNeed(in, ApplyGreedy) <= mem {
@@ -533,7 +527,7 @@ func MemoryNeed(in *Input, s Strategy) int64 {
 		}
 		return total
 	case ApplyGreedy:
-		ci := in.mostSelectiveClause()
+		ci := in.Analysis.MostSelectiveClause(in.ClauseSel)
 		if ci < 0 {
 			return 0
 		}

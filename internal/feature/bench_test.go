@@ -1,7 +1,6 @@
 package feature
 
 import (
-	"math"
 	"testing"
 
 	"falcon/internal/datagen"
@@ -89,65 +88,4 @@ func TestBlockingVectorAllocs(t *testing.T) {
 	if allocs > 4 {
 		t.Fatalf("BlockingVector allocates %.1f objects/op after warm-up, want <= 4", allocs)
 	}
-}
-
-// TestBlockingVectorsBatch proves the batch entry point computes exactly
-// what BlockingVector computes — same features, same order, bit-identical
-// values — in all three evaluator modes, and that the steady-state batch
-// path allocates (almost) nothing per stripe.
-func TestBlockingVectorsBatch(t *testing.T) {
-	ds := datagen.Products(0.02, 9)
-	set := Generate(ds.A, ds.B)
-	bRows := make([]int32, 24)
-	for i := range bRows {
-		bRows[i] = int32((i * 11) % ds.B.Len())
-	}
-	for _, mode := range []struct {
-		name      string
-		reference bool
-		idsOnly   bool
-	}{{"reference", true, false}, {"ids", false, true}, {"bitparallel", false, false}} {
-		vz := NewVectorizer(set, ds.A, ds.B)
-		vz.Reference = mode.reference
-		vz.IDsOnly = mode.idsOnly
-		if !mode.reference {
-			vz.Warm()
-		}
-		aRow := 3
-		visited := 0
-		vz.BlockingVectorsBatch(aRow, bRows, func(i int, values []float64) {
-			if i != visited {
-				t.Fatalf("%s: visit order %d, want %d", mode.name, i, visited)
-			}
-			visited++
-			want := vz.BlockingVector(table.Pair{A: aRow, B: int(bRows[i])})
-			if len(values) != len(want.Values) {
-				t.Fatalf("%s row %d: %d values, want %d", mode.name, bRows[i], len(values), len(want.Values))
-			}
-			for k := range values {
-				if math.Float64bits(values[k]) != math.Float64bits(want.Values[k]) {
-					t.Fatalf("%s row %d: values[%d]=%v, want %v", mode.name, bRows[i], k, values[k], want.Values[k])
-				}
-			}
-		})
-		if visited != len(bRows) {
-			t.Fatalf("%s: visited %d rows, want %d", mode.name, visited, len(bRows))
-		}
-	}
-
-	// Steady-state allocation budget on the default path.
-	vz := NewVectorizer(set, ds.A, ds.B)
-	vz.Warm()
-	sink := 0.0
-	visit := func(_ int, values []float64) { sink += values[0] }
-	vz.BlockingVectorsBatch(0, bRows, visit)
-	i := 0
-	allocs := testing.AllocsPerRun(100, func() {
-		vz.BlockingVectorsBatch(i%ds.A.Len(), bRows, visit)
-		i++
-	})
-	if allocs > 2 {
-		t.Fatalf("BlockingVectorsBatch allocates %.1f objects/stripe after warm-up, want <= 2", allocs)
-	}
-	_ = sink
 }

@@ -556,58 +556,111 @@ func (v *Vectorizer) Warm() {
 	}
 }
 
-// batchBuf pools the reusable state of one BlockingVectorsBatch call — the
-// value row handed to visit and the hoisted per-feature bundle loads — so
-// steady-state batch scoring allocates nothing.
-type batchBuf struct {
-	vals  []float64
-	feats []*Feature
-	cols  []*featCols
+// EvalRank orders measure families by per-pair cost, the order on-demand
+// rule checks read features in: numeric distances (0) < exact match (1) <
+// count-set measures over packed IDs (2) < every other measure (3).
+func EvalRank(m simfn.Measure) int {
+	switch {
+	case m.NumericBased():
+		return 0
+	case m == simfn.MExactMatch:
+		return 1
+	case isCountSet(m):
+		return 2
+	default:
+		return 3
+	}
 }
 
-var batchPool = sync.Pool{New: func() any { return new(batchBuf) }}
+// PairEval evaluates one pair's features on demand. Value(i) computes the
+// feature at position i of the evaluator's space the first time a CNF
+// predicate or a tree node reads it, and returns the remembered value on
+// every later read until Reset moves to the next pair. A decision that
+// never reads a feature never computes it. Values are bit-identical to
+// Vector's: the same column bundles, the same kernels, and the Reference
+// and IDsOnly routing of the vectorizer it came from.
+//
+// Take one per task or key group with Vectorizer.Eval and give it back
+// with Release; it is not safe for concurrent use.
+type PairEval struct {
+	v     *Vectorizer
+	space []int       // position → Set.Features index; nil is the identity
+	cols  []*featCols // per position, resolved on first read
+	vals  []float64
+	stamp []uint32 // vals[i] belongs to the current pair iff stamp[i] == gen
+	gen   uint32
+	p     table.Pair
+	s     simfn.Scratch
 
-// BlockingVectorsBatch evaluates the blocking features of pair (a, bRow) for
-// every bRow in bRows, calling visit(i, values) in input order. values is
-// indexed by position in Set.BlockingIdx, reused across rows, and valid only
-// during the visit call. Each row computes exactly what BlockingVectorScratch
-// computes — same features, same order, same arithmetic — with the scratch
-// acquisition, column-bundle loads, and Values allocation hoisted out of the
-// per-pair loop.
-func (v *Vectorizer) BlockingVectorsBatch(a int, bRows []int32, visit func(i int, values []float64)) {
-	idx := v.Set.BlockingIdx
-	s := simfn.GetScratch()
-	defer simfn.PutScratch(s)
-	bb := batchPool.Get().(*batchBuf)
-	defer batchPool.Put(bb)
-	if cap(bb.vals) < len(idx) {
-		bb.vals = make([]float64, len(idx))
+	computed int // feature computations since Eval
+}
+
+var evalPool = sync.Pool{New: func() any { return new(PairEval) }}
+
+// Eval returns a pooled on-demand evaluator over a feature space: space
+// maps positions to Set.Features indexes (Set.BlockingIdx for the
+// blocking vector), and nil means the full feature space. Call Reset before
+// the first Value.
+func (v *Vectorizer) Eval(space []int) *PairEval {
+	n := len(v.Set.Features)
+	if space != nil {
+		n = len(space)
 	}
-	vals := bb.vals[:len(idx)]
-	if v.Reference {
-		// The oracle path stays per-pair; evalCached routes to it.
-		for i, bRow := range bRows {
-			p := table.Pair{A: a, B: int(bRow)}
-			for j, fi := range idx {
-				vals[j] = v.evalCached(&v.Set.Features[fi], p, s)
-			}
-			visit(i, vals)
+	e := evalPool.Get().(*PairEval)
+	e.v, e.space, e.computed = v, space, 0
+	if cap(e.vals) < n {
+		e.cols, e.vals, e.stamp = make([]*featCols, n), make([]float64, n), make([]uint32, n)
+	}
+	// gen only grows, so stamps left by an earlier use never match the
+	// next Reset's generation.
+	e.cols, e.vals, e.stamp = e.cols[:n], e.vals[:n], e.stamp[:n]
+	return e
+}
+
+// Release returns the evaluator to the pool, dropping its column
+// references; e must not be used after.
+func (e *PairEval) Release() {
+	e.v, e.space = nil, nil
+	clear(e.cols)
+	evalPool.Put(e)
+}
+
+// Reset moves the evaluator to pair p, forgetting the previous pair's
+// values in O(1), and returns e.
+func (e *PairEval) Reset(p table.Pair) *PairEval {
+	e.p = p
+	e.gen++
+	if e.gen == 0 {
+		clear(e.stamp[:cap(e.stamp)])
+		e.gen = 1
+	}
+	return e
+}
+
+// Value returns the feature at position i for the current pair, computing
+// it on first read.
+func (e *PairEval) Value(i int) float64 {
+	if e.stamp[i] == e.gen {
+		return e.vals[i]
+	}
+	f := &e.v.Set.Features[i]
+	if e.space != nil {
+		f = &e.v.Set.Features[e.space[i]]
+	}
+	var x float64
+	if e.v.Reference {
+		x = e.v.evalReference(f, e.p)
+	} else {
+		fc := e.cols[i]
+		if fc == nil {
+			fc = e.v.featData(f)
+			e.cols[i] = fc
 		}
-		return
+		x = e.v.evalWithCols(f, fc, e.p, &e.s)
 	}
-	bb.feats, bb.cols = bb.feats[:0], bb.cols[:0]
-	for _, fi := range idx {
-		f := &v.Set.Features[fi]
-		bb.feats = append(bb.feats, f)
-		bb.cols = append(bb.cols, v.featData(f))
-	}
-	for i, bRow := range bRows {
-		p := table.Pair{A: a, B: int(bRow)}
-		for j, f := range bb.feats {
-			vals[j] = v.evalWithCols(f, bb.cols[j], p, s)
-		}
-		visit(i, vals)
-	}
+	e.vals[i], e.stamp[i] = x, e.gen
+	e.computed++
+	return x
 }
 
 // VectorizeAll converts a pair list into vectors (full feature space).

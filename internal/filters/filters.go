@@ -118,6 +118,10 @@ type Analysis struct {
 	Clauses []ClauseInfo
 	// Feats maps vector positions to features, for predicate evaluation.
 	Feats []*feature.Feature
+	// Verify is CNF arranged for on-demand checking (rules.CNF.KeepOn):
+	// cheapest measure family first by feature.EvalRank, so a pair a cheap
+	// clause drops never computes an expensive feature.
+	Verify rules.CNF
 }
 
 // Analyze binds each CNF predicate to its feature (via the blocking-feature
@@ -125,6 +129,7 @@ type Analysis struct {
 // feature behind vector position i.
 func Analyze(cnf rules.CNF, blockingFeats []*feature.Feature) *Analysis {
 	a := &Analysis{CNF: cnf, Feats: blockingFeats}
+	a.Verify = cnf.Ordered(func(i int) int { return feature.EvalRank(blockingFeats[i].Measure) })
 	for _, clause := range cnf.Clauses {
 		ci := ClauseInfo{Filterable: len(clause) > 0}
 		for _, p := range clause {
@@ -149,6 +154,27 @@ func (a *Analysis) FilterableClauses() []int {
 		}
 	}
 	return out
+}
+
+// MostSelectiveClause returns the filterable clause with the lowest
+// selectivity sel[i] (the one that drops the most pairs; a clause without
+// an entry counts as 1), or -1 when no clause can prune. Apply-greedy and
+// the serving probe both use it to pick the one clause they probe.
+func (a *Analysis) MostSelectiveClause(sel []float64) int {
+	best, bestSel := -1, 2.0
+	for i, c := range a.Clauses {
+		if !c.Filterable {
+			continue
+		}
+		s := 1.0
+		if i < len(sel) {
+			s = sel[i]
+		}
+		if s < bestSel {
+			best, bestSel = i, s
+		}
+	}
+	return best
 }
 
 // IndexSpec identifies one index to build over table A.

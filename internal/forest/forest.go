@@ -57,6 +57,25 @@ func (t *Tree) Predict(v []float64) bool {
 	return n.Match
 }
 
+// Values supplies feature values on demand, so a walk reads only the
+// features on its root-to-leaf path.
+type Values interface {
+	Value(feature int) float64
+}
+
+// PredictOn is Predict over on-demand values.
+func (t *Tree) PredictOn(vals Values) bool {
+	n := t.Root
+	for !n.IsLeaf() {
+		if vals.Value(n.Feature) <= n.Threshold {
+			n = n.Left
+		} else {
+			n = n.Right
+		}
+	}
+	return n.Match
+}
+
 // Config controls forest training.
 type Config struct {
 	// NumTrees is the forest size (default 10, as in Corleone).
@@ -251,18 +270,41 @@ func (f *Forest) Votes(v []float64) int {
 	return n
 }
 
+// VotesOn is Votes over on-demand values: each tree walks its own path,
+// so a feature no path reaches is never computed. Majority and Fraction
+// turn the one count into Predict's and Confidence's answers.
+func (f *Forest) VotesOn(vals Values) int {
+	n := 0
+	for _, t := range f.Trees {
+		if t.PredictOn(vals) {
+			n++
+		}
+	}
+	return n
+}
+
 // Predict returns the majority vote.
 func (f *Forest) Predict(v []float64) bool {
-	return 2*f.Votes(v) > len(f.Trees)
+	return f.Majority(f.Votes(v))
+}
+
+// Majority reports whether votes is a strict majority of the trees.
+func (f *Forest) Majority(votes int) bool {
+	return 2*votes > len(f.Trees)
 }
 
 // Confidence returns the fraction of trees voting "match", in [0,1].
 // Values near 0.5 identify the controversial pairs active learning selects.
 func (f *Forest) Confidence(v []float64) float64 {
+	return f.Fraction(f.Votes(v))
+}
+
+// Fraction returns votes as a fraction of the trees, in [0,1].
+func (f *Forest) Fraction(votes int) float64 {
 	if len(f.Trees) == 0 {
 		return 0
 	}
-	return float64(f.Votes(v)) / float64(len(f.Trees))
+	return float64(votes) / float64(len(f.Trees))
 }
 
 // Entropy returns the binary vote entropy, maximal at confidence 0.5.

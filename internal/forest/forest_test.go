@@ -220,6 +220,28 @@ func TestQuickConfidenceConsistency(t *testing.T) {
 	}
 }
 
+// sliceValues serves a vector as on-demand values.
+type sliceValues []float64
+
+func (v sliceValues) Value(i int) float64 { return v[i] }
+
+// Property: the on-demand walk counts the votes Votes counts, and
+// Majority and Fraction of that count are Predict and Confidence.
+func TestQuickVotesOnMatchesVotes(t *testing.T) {
+	train := linearData(300, 12, 0.1)
+	forest := Train(train, Config{Seed: 4})
+	f := func(a, b float64) bool {
+		v := []float64{math.Abs(math.Mod(a, 1)), math.Abs(math.Mod(b, 1))}
+		votes := forest.VotesOn(sliceValues(v))
+		return votes == forest.Votes(v) &&
+			forest.Majority(votes) == forest.Predict(v) &&
+			forest.Fraction(votes) == forest.Confidence(v)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func BenchmarkTrain(b *testing.B) {
 	train := linearData(1000, 1, 0.05)
 	b.ReportAllocs()

@@ -108,10 +108,19 @@ func parseNum(s string) (float64, bool) {
 	return f, err == nil
 }
 
-// ProbeRange returns IDs with value in [lo, hi].
+// ProbeRange returns IDs with value in [lo, hi], in a fresh slice.
 func (ti *TreeIndex) ProbeRange(lo, hi float64) []int32 {
+	return ti.ProbeRangeInto(lo, hi, nil)
+}
+
+// ProbeRangeInto is ProbeRange appending into dst[:0]: a caller that keeps
+// one buffer per probe slot allocates nothing once the buffer reaches its
+// high-water mark.
+//
+//falcon:hotpath
+func (ti *TreeIndex) ProbeRangeInto(lo, hi float64, dst []int32) []int32 {
 	start := sort.SearchFloat64s(ti.vals, lo)
-	var out []int32
+	out := dst[:0]
 	for i := start; i < len(ti.vals) && ti.vals[i] <= hi; i++ {
 		out = append(out, ti.ids[i])
 	}

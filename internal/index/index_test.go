@@ -68,6 +68,26 @@ func TestTreeIndex(t *testing.T) {
 	}
 }
 
+// TestTreeIndexProbeRangeInto checks the pooled-buffer probe: the same IDs
+// as ProbeRange, written over dst's old contents, and no allocation once
+// dst is large enough.
+func TestTreeIndexProbeRangeInto(t *testing.T) {
+	ti := BuildTree(yearPriceTable(), 1)
+	dst := []int32{7, 7, 7, 7, 7, 7}
+	for _, r := range [][2]float64{{10, 15}, {100, 200}, {-1e9, 1e9}} {
+		got := ti.ProbeRangeInto(r[0], r[1], dst)
+		if want := ti.ProbeRange(r[0], r[1]); !slices.Equal(got, want) {
+			t.Fatalf("ProbeRangeInto%v = %v, ProbeRange = %v", r, got, want)
+		}
+		if len(got) > 0 && &got[0] != &dst[0] {
+			t.Fatalf("ProbeRangeInto%v did not reuse dst", r)
+		}
+	}
+	if allocs := testing.AllocsPerRun(50, func() { dst = ti.ProbeRangeInto(-1e9, 1e9, dst) }); allocs != 0 {
+		t.Fatalf("ProbeRangeInto allocates %.1f objects with a large enough dst", allocs)
+	}
+}
+
 func TestOrdering(t *testing.T) {
 	freq := map[string]int{"the": 10, "war": 3, "zebra": 1, "art": 3}
 	o := BuildOrdering(freq)

@@ -102,7 +102,10 @@ func (m *Model) Apply(cluster *mapreduce.Cluster, a, b *table.Table) ([]table.Pa
 	return m.ApplyContext(context.Background(), cluster, a, b)
 }
 
-// ApplyContext is Apply honoring ctx cancellation inside the blocking jobs.
+// ApplyContext is Apply honoring ctx cancellation inside the blocking jobs
+// (and once per A row of the matcher-only plan). Each candidate is scored
+// with the on-demand forest walk, which computes only the features the
+// trees' paths read.
 func (m *Model) ApplyContext(ctx context.Context, cluster *mapreduce.Cluster, a, b *table.Table) ([]table.Pair, int, error) {
 	if cluster == nil {
 		cluster = mapreduce.Default()
@@ -113,46 +116,53 @@ func (m *Model) ApplyContext(ctx context.Context, cluster *mapreduce.Cluster, a,
 	}
 	vz := feature.NewVectorizer(set, a, b)
 
-	var candidates []table.Pair
-	if len(m.RuleSeq) > 0 {
-		feats := make([]*feature.Feature, len(set.BlockingIdx))
-		for i, idx := range set.BlockingIdx {
-			feats[i] = &set.Features[idx]
-		}
-		an := filters.Analyze(rules.ToCNF(m.RuleSeq), feats)
-		ix := filters.NewIndexes(cluster, a)
-		if _, err := ix.EnsureAll(ctx, an.NeededIndexes()); err != nil {
-			return nil, 0, err
-		}
-		in := &block.Input{
-			A: a, B: b,
-			Analysis:    an,
-			Indexes:     ix,
-			Vectorizer:  vz,
-			ClauseSel:   m.ClauseSel,
-			PassIDsOnly: true,
-		}
-		res, err := block.Run(ctx, cluster, in, block.Choose(cluster, in, seqSel(m.ClauseSel)))
-		if err != nil {
-			return nil, 0, err
-		}
-		candidates = res.Pairs
-	} else {
-		for i := 0; i < a.Len(); i++ {
-			for j := 0; j < b.Len(); j++ {
-				candidates = append(candidates, table.Pair{A: i, B: j})
-			}
-		}
-	}
-
+	e := vz.Eval(nil)
+	defer e.Release()
 	var matches []table.Pair
-	for _, p := range candidates {
-		vec := vz.Vector(p)
-		if m.Matcher.Predict(vec.Values) {
+	score := func(p table.Pair) {
+		if m.Matcher.Majority(m.Matcher.VotesOn(e.Reset(p))) {
 			matches = append(matches, p)
 		}
 	}
-	return matches, len(candidates), nil
+	if len(m.RuleSeq) == 0 {
+		// Matcher-only plan: stream A×B through the scorer rather than
+		// materialize |A|·|B| candidate pairs.
+		for i := 0; i < a.Len(); i++ {
+			if err := ctx.Err(); err != nil {
+				return nil, 0, err
+			}
+			for j := 0; j < b.Len(); j++ {
+				score(table.Pair{A: i, B: j})
+			}
+		}
+		return matches, a.Len() * b.Len(), nil
+	}
+
+	feats := make([]*feature.Feature, len(set.BlockingIdx))
+	for i, idx := range set.BlockingIdx {
+		feats[i] = &set.Features[idx]
+	}
+	an := filters.Analyze(rules.ToCNF(m.RuleSeq), feats)
+	ix := filters.NewIndexes(cluster, a)
+	if _, err := ix.EnsureAll(ctx, an.NeededIndexes()); err != nil {
+		return nil, 0, err
+	}
+	in := &block.Input{
+		A: a, B: b,
+		Analysis:    an,
+		Indexes:     ix,
+		Vectorizer:  vz,
+		ClauseSel:   m.ClauseSel,
+		PassIDsOnly: true,
+	}
+	res, err := block.Run(ctx, cluster, in, block.Choose(cluster, in, seqSel(m.ClauseSel)))
+	if err != nil {
+		return nil, 0, err
+	}
+	for _, p := range res.Pairs {
+		score(p)
+	}
+	return matches, len(res.Pairs), nil
 }
 
 // seqSel approximates the sequence selectivity as the product of the

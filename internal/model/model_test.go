@@ -2,7 +2,10 @@ package model
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -137,6 +140,36 @@ func TestApplyMatcherOnly(t *testing.T) {
 	}
 	if len(matches) == 0 {
 		t.Fatal("no matches")
+	}
+}
+
+// TestApplyMatcherOnlyStreamsProduct checks the streamed matcher-only plan
+// against eager scoring of every A×B pair, and that it honors a cancelled
+// context.
+func TestApplyMatcherOnlyStreamsProduct(t *testing.T) {
+	a, b, set, m := trainWorld(t, 25, 3)
+	m2 := New(set, nil, nil, m.Matcher)
+	matches, _, err := m2.Apply(nil, a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vz := feature.NewVectorizer(set, a, b)
+	var want []table.Pair
+	for i := 0; i < a.Len(); i++ {
+		for j := 0; j < b.Len(); j++ {
+			p := table.Pair{A: i, B: j}
+			if m.Matcher.Predict(vz.Vector(p).Values) {
+				want = append(want, p)
+			}
+		}
+	}
+	if !slices.Equal(matches, want) {
+		t.Fatalf("streamed matches %v, eager %v", matches, want)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, err := m2.ApplyContext(ctx, nil, a, b); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled apply returned %v, want context.Canceled", err)
 	}
 }
 

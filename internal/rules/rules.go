@@ -13,7 +13,9 @@
 package rules
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -252,6 +254,23 @@ func (c Clause) Eval(vec []float64) bool {
 	return false
 }
 
+// Values supplies feature values on demand, so a check reads only the
+// features it needs.
+type Values interface {
+	Value(feature int) float64
+}
+
+// EvalOn is Eval over on-demand values: it stops at the first predicate
+// that holds.
+func (c Clause) EvalOn(vals Values) bool {
+	for _, p := range c {
+		if p.Eval(vals.Value(p.Feature)) {
+			return true
+		}
+	}
+	return false
+}
+
 // CNF is the "positive" rule Q of §7.3: keep (a,b) iff every clause holds.
 // Each clause is the negation of one blocking rule in the sequence.
 type CNF struct {
@@ -280,6 +299,45 @@ func (c CNF) Keep(vec []float64) bool {
 		}
 	}
 	return true
+}
+
+// KeepOn is Keep over on-demand values: clauses are checked in order and
+// the check stops at the first clause that fails, so the features of later
+// clauses are never read for a dropped pair.
+func (c CNF) KeepOn(vals Values) bool {
+	for _, cl := range c.Clauses {
+		if !cl.EvalOn(vals) {
+			return false
+		}
+	}
+	return true
+}
+
+// Ordered returns a copy of c arranged for KeepOn: each clause's predicates
+// sorted by cost(feature), and the clauses sorted by their costliest
+// predicate, ties keeping their original order. Conjunction and
+// disjunction commute, so the copy keeps exactly the pairs c keeps.
+func (c CNF) Ordered(cost func(feature int) int) CNF {
+	type ranked struct {
+		clause Clause
+		worst  int
+	}
+	rs := make([]ranked, len(c.Clauses))
+	for i, cl := range c.Clauses {
+		cl = slices.Clone(cl)
+		slices.SortStableFunc(cl, func(x, y Predicate) int { return cmp.Compare(cost(x.Feature), cost(y.Feature)) })
+		worst := 0
+		if len(cl) > 0 {
+			worst = cost(cl[len(cl)-1].Feature)
+		}
+		rs[i] = ranked{cl, worst}
+	}
+	slices.SortStableFunc(rs, func(x, y ranked) int { return cmp.Compare(x.worst, y.worst) })
+	out := CNF{Clauses: make([]Clause, len(rs))}
+	for i, r := range rs {
+		out.Clauses[i] = r.clause
+	}
+	return out
 }
 
 // String renders the CNF rule.

@@ -2,6 +2,7 @@ package rules
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -265,6 +266,78 @@ func TestQuickCNFMatchesSequence(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// vecValues serves a slice as on-demand values, recording each read.
+type vecValues struct {
+	vec  []float64
+	read []int
+}
+
+func (v *vecValues) Value(i int) float64 {
+	v.read = append(v.read, i)
+	return v.vec[i]
+}
+
+// Property: an Ordered CNF checked on demand keeps exactly what the CNF
+// keeps, its clauses are sorted by their costliest predicate, and its
+// predicates by cost within each clause.
+func TestQuickOrderedKeepOnMatchesKeep(t *testing.T) {
+	ops := []Op{LE, GT, LT, GE}
+	cost := func(f int) int { return 3 - f } // feature 3 is cheapest
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		var seq []Rule
+		for r := 0; r < 1+rng.Intn(4); r++ {
+			var preds []Predicate
+			for i := 0; i < 1+rng.Intn(3); i++ {
+				preds = append(preds, Predicate{Feature: rng.Intn(4), Op: ops[rng.Intn(len(ops))], Value: rng.Float64()})
+			}
+			seq = append(seq, Rule{ID: r, Preds: preds})
+		}
+		cnf := ToCNF(seq)
+		ord := cnf.Ordered(cost)
+		prevWorst := -1
+		for _, cl := range ord.Clauses {
+			for i := 1; i < len(cl); i++ {
+				if cost(cl[i-1].Feature) > cost(cl[i].Feature) {
+					return false
+				}
+			}
+			worst := cost(cl[len(cl)-1].Feature)
+			if worst < prevWorst {
+				return false
+			}
+			prevWorst = worst
+		}
+		for trial := 0; trial < 40; trial++ {
+			vals := &vecValues{vec: []float64{rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64()}}
+			if ord.KeepOn(vals) != cnf.Keep(vals.vec) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestKeepOnStopsAtFirstFailingClause pins the short-circuit: a failing
+// clause ends the check before any later clause reads a feature.
+func TestKeepOnStopsAtFirstFailingClause(t *testing.T) {
+	cnf := CNF{Clauses: []Clause{
+		{{Feature: 0, Op: GT, Value: 0.5}, {Feature: 1, Op: GT, Value: 0.5}},
+		{{Feature: 2, Op: GT, Value: 0.5}},
+	}}
+	vals := &vecValues{vec: []float64{0.9, 0, 0.9}}
+	if !cnf.KeepOn(vals) || !slices.Equal(vals.read, []int{0, 2}) {
+		t.Fatalf("holding CNF read %v, want [0 2]", vals.read)
+	}
+	vals = &vecValues{vec: []float64{0, 0, 0.9}}
+	if cnf.KeepOn(vals) || !slices.Equal(vals.read, []int{0, 1}) {
+		t.Fatalf("failing first clause read %v, want [0 1]", vals.read)
 	}
 }
 

@@ -24,6 +24,7 @@ type Match struct {
 // Slices are reused via [:0] re-slicing; capacities grow to the workload's
 // high-water mark and stick.
 type reqScratch struct {
+	bn     *Bundle             // the bundle whose pool owns this scratch
 	num    []float64           // per feature: parsed record numeric
 	numOk  []bool              // per feature: numeric parse success
 	ids    [][]uint32          // per feature: encoded record token-ID set
@@ -31,26 +32,32 @@ type reqScratch struct {
 	docs   []simfn.WeightedDoc // per feature: record weighted document
 	norm   []string            // per feature: normalized record string
 	toks   [][]string          // per token slot: record token set
-	pids   [][]uint32          // per prefix pred slot: probe-encoded IDs
-	pcands [][]int32           // per prefix pred slot: probe result buffer
-	bvals  []float64           // blocking-vector buffer
-	vals   []float64           // full-vector buffer
+	pids   [][]uint32          // per probe slot: probe-encoded IDs (prefix kinds)
+	pcands [][]int32           // per probe slot: probe result buffer
+
+	// The current row's memo: vals[fi] holds feature fi for row iff
+	// stamp[fi] == gen. scoreRow bumps gen per row, so moving to the next
+	// row forgets every value without touching the slices.
+	vals  []float64
+	stamp []uint32
+	gen   uint32
+	row   int
+	sim   simfn.Scratch
 
 	union []int32 // clause-union double buffer
 	utmp  []int32
-	cands []int32 // cross-clause intersection double buffer
-	itmp  []int32
 	out   []Match
 }
 
 // MatchOne matches one incoming A-shaped record (values in A-schema column
-// order) against the frozen B table: candidate generation through the
-// learned CNF's filter indexes, CNF verification on the blocking vector,
-// then forest scoring on the full vector. Lock-free: all shared state is
-// the frozen bundle; per-request state comes from the scratch pool. The
-// documented per-request allocations are the record tokenizations and the
-// returned match slice; probe results land in pooled per-slot buffers via
-// the batched probe entry points.
+// order) against the frozen B table: candidate generation probes the filter
+// indexes of the learned CNF's most selective clause, then each candidate
+// is checked against the whole CNF and scored by the forest, computing a
+// feature only when a predicate or a tree node first reads it. Lock-free:
+// all shared state is the frozen bundle; per-request state comes from the
+// scratch pool. The documented per-request allocations are the record
+// tokenizations and the returned match slice; probe results land in pooled
+// per-slot buffers.
 //
 //falcon:hotpath
 func (bn *Bundle) MatchOne(rec []string) ([]Match, error) {
@@ -58,21 +65,19 @@ func (bn *Bundle) MatchOne(rec []string) ([]Match, error) {
 		return nil, fmt.Errorf("serve: record has %d values, schema has %d", len(rec), bn.nA)
 	}
 	rs := bn.scratch.Get().(*reqScratch)
-	s := simfn.GetScratch()
 	bn.prepare(rs, rec)
 	cands, all := bn.candidates(rs, rec)
 	rs.out = rs.out[:0]
 	if all {
 		for row := 0; row < bn.b.Len(); row++ {
-			bn.scoreRow(rs, s, row)
+			bn.scoreRow(rs, row)
 		}
 	} else {
 		for _, row := range cands {
-			bn.scoreRow(rs, s, int(row))
+			bn.scoreRow(rs, int(row))
 		}
 	}
 	out := append([]Match(nil), rs.out...)
-	simfn.PutScratch(s)
 	bn.scratch.Put(rs)
 	return out, nil
 }
@@ -138,105 +143,61 @@ func (bn *Bundle) prepare(rs *reqScratch, rec []string) {
 			}
 		}
 	}
-	for ci := range bn.clauses {
-		for pi := range bn.clauses[ci].preds {
-			pp := &bn.clauses[ci].preds[pi]
-			if pp.slot < 0 {
-				continue
-			}
-			// Raw values are tokenized as-is (no missing check), matching the
-			// batch probe path; missing tokenizes to the empty set anyway.
-			//falcon:allow servebudget documented per-request tokenization for the prefix probe
-			toks := tokenize.Set(pp.prefix.Kind, rec[pp.acol])
-			ids := rs.pids[pp.slot][:0]
-			dict := pp.ord.Dict()
-			ext := uint32(pp.ord.Len())
-			for _, t := range toks {
-				if id, known := dict.ID(t); known {
-					ids = append(ids, id)
-				} else {
-					ids = append(ids, ext)
-					ext++
-				}
-			}
-			slices.Sort(ids)
-			rs.pids[pp.slot] = ids
+	for pi := range bn.probe {
+		pp := &bn.probe[pi]
+		if pp.prefix == nil {
+			continue
 		}
+		// Raw values are tokenized as-is (no missing check), matching the
+		// batch probe path; missing tokenizes to the empty set anyway.
+		//falcon:allow servebudget documented per-request tokenization for the prefix probe
+		toks := tokenize.Set(pp.prefix.Kind, rec[pp.acol])
+		ids := rs.pids[pp.slot][:0]
+		dict := pp.ord.Dict()
+		ext := uint32(pp.ord.Len())
+		for _, t := range toks {
+			if id, known := dict.ID(t); known {
+				ids = append(ids, id)
+			} else {
+				ids = append(ids, ext)
+				ext++
+			}
+		}
+		slices.Sort(ids)
+		rs.pids[pp.slot] = ids
 	}
 }
 
-// candidates runs Algorithm 1's C_Q ← ∩_q ∪_p FindProbableCandidates step
-// with the roles flipped: the record probes the B-side indexes. all=true
-// means no clause could prune (including the empty, matcher-only CNF) and
-// every B row is a candidate. Results are sorted ascending.
+// candidates is Algorithm 1's FindProbableCandidates with the roles
+// flipped: the record probes the B-side indexes of the one clause the
+// bundle probes (the filterable clause with the lowest ClauseSel), and
+// scoreRow verifies every clause on the survivors. all=true means nothing
+// can prune this record (including the empty, matcher-only CNF) and every
+// B row is a candidate. Results are sorted ascending.
 //
 //falcon:hotpath
 func (bn *Bundle) candidates(rs *reqScratch, rec []string) (cands []int32, all bool) {
-	first := true
-	var acc []int32
-	m := 0
-	for ci := range bn.clauses {
-		cp := &bn.clauses[ci]
-		if !cp.filterable {
-			continue
-		}
-		got, isAll := bn.clauseCands(rs, cp, rec)
-		if isAll {
-			continue
-		}
-		first = false
-		m++
-		if m == 1 {
-			// Copy: got lives in the clause-union buffers the next clause reuses.
-			rs.cands = append(rs.cands[:0], got...)
-			acc = rs.cands
-			continue
-		}
-		// Alternate intersection buffers so the destination never aliases acc.
-		buf := rs.itmp
-		if m%2 == 1 {
-			buf = rs.cands
-		}
-		buf = intersectInto(buf[:0], acc, got)
-		if m%2 == 1 {
-			rs.cands = buf
-		} else {
-			rs.itmp = buf
-		}
-		acc = buf
-		if len(acc) == 0 {
-			return nil, false
-		}
-	}
-	if first {
+	if bn.probe == nil {
 		return nil, true
 	}
-	return acc, false
-}
-
-// clauseCands unions the clause's predicate candidates (disjunction).
-//
-//falcon:hotpath
-func (bn *Bundle) clauseCands(rs *reqScratch, cp *clausePlan, rec []string) (cands []int32, all bool) {
 	var acc []int32
-	n := 0
-	for pi := range cp.preds {
-		got, isAll := bn.predCands(rs, &cp.preds[pi], rec)
+	for pi := range bn.probe {
+		got, isAll := bn.predCands(rs, &bn.probe[pi], rec)
 		if isAll {
 			return nil, true
 		}
-		n++
-		if n == 1 {
+		if pi == 0 {
 			acc = got
 			continue
 		}
-		// Alternate union buffers so the destination never aliases acc.
+		// The clause is a disjunction: union its predicates' candidates,
+		// alternating buffers so the destination never aliases acc.
 		buf := rs.utmp
-		if n%2 == 1 {
+		if pi%2 == 0 {
 			buf = rs.union
 		}
 		buf = unionInto(buf[:0], acc, got)
-		if n%2 == 1 {
+		if pi%2 == 0 {
 			rs.union = buf
 		} else {
 			rs.utmp = buf
@@ -262,12 +223,13 @@ func (bn *Bundle) predCands(rs *reqScratch, pp *predPlan, rec []string) (cands [
 			return nil, pp.pred.Eval(feature.Missing)
 		}
 		lo, hi := filters.RangeBounds(pp.measure, rs.num[pp.feat], pp.threshold)
-		got := pp.tree.ProbeRange(lo, hi) // fresh slice: safe to extend and sort
+		got := pp.tree.ProbeRangeInto(lo, hi, rs.pcands[pp.slot])
 		if pp.pred.Eval(feature.Missing) {
 			// B-side unparseables also evaluate to Missing → keep.
 			got = append(got, pp.tree.Unparseable()...)
 		}
 		slices.Sort(got)
+		rs.pcands[pp.slot] = got
 		return got, false
 	default: // PrefixSet, ShareGram
 		got, _ := pp.prefix.ProbeIDsInto(pp.measure, pp.threshold, rs.pids[pp.slot], rs.pcands[pp.slot][:0])
@@ -276,26 +238,40 @@ func (bn *Bundle) predCands(rs *reqScratch, pp *predPlan, rec []string) (cands [
 	}
 }
 
-// scoreRow verifies one candidate B row against the CNF on the blocking
-// vector, then scores the full vector with the forest, appending a Match
-// when the forest votes yes.
+// scoreRow checks one candidate B row against the CNF, then scores it with
+// the forest, appending a Match when the forest votes yes. Both read
+// features through the row's memo (Value), so a feature shared by clauses
+// and trees is computed once and a feature nothing reads is never
+// computed.
 //
 //falcon:hotpath
-func (bn *Bundle) scoreRow(rs *reqScratch, s *simfn.Scratch, row int) {
-	if len(bn.cnf.Clauses) > 0 {
-		for pos, fi := range bn.blockingIdx {
-			rs.bvals[pos] = bn.evalFeature(fi, rs, s, row)
-		}
-		if !bn.cnf.Keep(rs.bvals) {
-			return
-		}
+func (bn *Bundle) scoreRow(rs *reqScratch, row int) {
+	rs.row = row
+	rs.gen++
+	if rs.gen == 0 {
+		clear(rs.stamp)
+		rs.gen = 1
 	}
-	for fi := range bn.feats {
-		rs.vals[fi] = bn.evalFeature(fi, rs, s, row)
+	if !bn.verify.KeepOn(rs) {
+		return
 	}
-	if bn.f.Predict(rs.vals) {
-		rs.out = append(rs.out, Match{BRow: row, Score: bn.f.Confidence(rs.vals)})
+	votes := bn.f.VotesOn(rs)
+	if bn.f.Majority(votes) {
+		rs.out = append(rs.out, Match{BRow: row, Score: bn.f.Fraction(votes)})
 	}
+}
+
+// Value returns full-space feature fi between the prepared record and the
+// current row, computing it on first read.
+//
+//falcon:hotpath
+func (rs *reqScratch) Value(fi int) float64 {
+	if rs.stamp[fi] == rs.gen {
+		return rs.vals[fi]
+	}
+	x := rs.bn.evalFeature(fi, rs, &rs.sim, rs.row)
+	rs.vals[fi], rs.stamp[fi] = x, rs.gen
+	return x
 }
 
 // evalFeature computes one feature between the prepared record and B row —
@@ -347,23 +323,5 @@ func unionInto(dst, a, b []int32) []int32 {
 	}
 	dst = append(dst, a[i:]...)
 	dst = append(dst, b[j:]...)
-	return dst
-}
-
-// intersectInto intersects two sorted ID lists into dst.
-func intersectInto(dst, a, b []int32) []int32 {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			dst = append(dst, a[i])
-			i++
-			j++
-		}
-	}
 	return dst
 }

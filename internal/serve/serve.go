@@ -73,33 +73,32 @@ type predPlan struct {
 	tree   *index.TreeIndex
 	prefix *index.PrefixIndex
 	ord    *index.Ordering
-	slot   int // per-request encoded-probe-IDs slot (prefix kinds)
-}
-
-// clausePlan is one CNF clause's filter plan (union over predicates;
-// unfilterable clauses prune nothing).
-type clausePlan struct {
-	filterable bool
-	preds      []predPlan
+	slot   int // per-request probe slot (range and prefix kinds)
 }
 
 // Bundle is a matcher artifact resolved for serving: B-side operand
-// columns per feature, filter indexes over B, the positive CNF, and the
-// forest. Nothing reachable from a bundle is written after NewBundle
-// returns; per-request state cycles through the scratch pool.
+// columns per feature, filter indexes over B for the one clause it probes,
+// the positive CNF, and the forest. Nothing reachable from a bundle is
+// written after NewBundle returns; per-request state cycles through the
+// scratch pool.
 type Bundle struct {
 	art *model.MatcherArtifact
 	b   *table.Table
 	f   *forest.Forest
-	cnf rules.CNF
+	// verify is the positive CNF over full-space feature indexes, in the
+	// cheapest-first order of filters.Analysis.Verify.
+	verify rules.CNF
 
 	aCols       map[string]int // A attribute name → record position
 	nA          int
 	blockingIdx []int // blocking position → full-space feature index
 	feats       []featCols
 	tokSlots    []tokSlot
-	clauses     []clausePlan
-	nPredSlots  int
+	// probe is the predicate plan of the filterable clause with the lowest
+	// ClauseSel (a disjunction: candidates are the union over its
+	// predicates); nil when no clause can prune.
+	probe      []predPlan
+	nPredSlots int
 
 	scratch sync.Pool // *reqScratch
 }
@@ -126,7 +125,6 @@ func NewBundle(art *model.MatcherArtifact) (*Bundle, error) {
 		art:         art,
 		b:           art.B,
 		f:           art.Matcher,
-		cnf:         rules.ToCNF(art.RuleSeq),
 		aCols:       make(map[string]int, len(art.AAttrs)),
 		nA:          len(art.AAttrs),
 		blockingIdx: art.BlockingIdx,
@@ -149,11 +147,11 @@ func NewBundle(art *model.MatcherArtifact) (*Bundle, error) {
 	}
 
 	nf := len(bn.feats)
-	nb := len(bn.blockingIdx)
 	nt := len(bn.tokSlots)
 	np := bn.nPredSlots
 	bn.scratch.New = func() any {
 		return &reqScratch{
+			bn:     bn,
 			num:    make([]float64, nf),
 			numOk:  make([]bool, nf),
 			ids:    make([][]uint32, nf),
@@ -163,8 +161,8 @@ func NewBundle(art *model.MatcherArtifact) (*Bundle, error) {
 			toks:   make([][]string, nt),
 			pids:   make([][]uint32, np),
 			pcands: make([][]int32, np),
-			bvals:  make([]float64, nb),
 			vals:   make([]float64, nf),
+			stamp:  make([]uint32, nf),
 		}
 	}
 	return bn, nil
@@ -294,12 +292,16 @@ func (bn *Bundle) resolveFeatures(corpora []*simfn.Corpus) error {
 }
 
 // planClauses re-derives the filter plan of the learned CNF over the
-// role-flipped feature space (probe record against indexed B) and binds
-// every filterable predicate to its B-side index: prefix indexes come from
-// the artifact's postings, hash and tree indexes are rebuilt from the B
-// table (cheap and deterministic).
+// role-flipped feature space (probe record against indexed B), keeps its
+// cheapest-first check order for scoreRow, and binds the predicates of the
+// clause the bundle probes — the filterable clause with the lowest
+// ClauseSel, chosen as apply-greedy chooses it — to B-side indexes: prefix
+// indexes come from the artifact's postings, hash and tree indexes are
+// rebuilt from the B table (cheap and deterministic). Other clauses get no
+// index: scoreRow verifies them.
 func (bn *Bundle) planClauses(corpora []*simfn.Corpus) error {
-	if len(bn.cnf.Clauses) == 0 {
+	cnf := rules.ToCNF(bn.art.RuleSeq)
+	if len(cnf.Clauses) == 0 {
 		return nil
 	}
 	flipped := make([]*feature.Feature, len(bn.blockingIdx))
@@ -316,65 +318,80 @@ func (bn *Bundle) planClauses(corpora []*simfn.Corpus) error {
 		f := feature.NewBoundFeature(pos, sp.Name, sp.Measure, sp.Token, sp.BCol, sp.ACol, sp.Attr, sp.Blockable, c)
 		flipped[pos] = &f
 	}
-	an := filters.Analyze(bn.cnf, flipped)
-
-	prefixByKey := map[string]*index.PrefixIndex{}
-	thrByKey := map[string]float64{}
-	for i := range bn.art.Prefix {
-		pd := &bn.art.Prefix[i]
-		ord := index.OrderingOf(pd.Ranked)
-		prefixByKey[pd.Spec().Key()] = index.PrefixFromParts(pd.Token, pd.Threshold, ord, pd.Post, pd.SetLen)
-		thrByKey[pd.Spec().Key()] = pd.Threshold
+	an := filters.Analyze(cnf, flipped)
+	// Verify's clauses are fresh copies: re-point them at full-space
+	// features, the space the memo and the forest share.
+	bn.verify = an.Verify
+	for _, cl := range bn.verify.Clauses {
+		for i := range cl {
+			cl[i].Feature = bn.blockingIdx[cl[i].Feature]
+		}
 	}
+	ci := an.MostSelectiveClause(bn.art.ClauseSel)
+	if ci < 0 {
+		return nil
+	}
+
+	// Predicates of one clause on the same column (or prefix spec) share
+	// one index.
 	hashBy := map[int]*index.HashIndex{}
 	treeBy := map[int]*index.TreeIndex{}
+	prefixBy := map[string]*index.PrefixIndex{}
+	for _, bp := range an.Clauses[ci].Preds {
+		pp := predPlan{
+			pred:      bp.Pred,
+			kind:      bp.Kind,
+			measure:   bp.Feat.Measure,
+			threshold: bp.Threshold,
+			feat:      bn.blockingIdx[bp.Pred.Feature],
+			acol:      bp.Feat.BCol, // flipped: the record-side column
+			slot:      -1,
+		}
+		bcol := bp.Feat.ACol // flipped: the indexed B column
+		switch bp.Kind {
+		case filters.Equivalence:
+			if hashBy[bcol] == nil {
+				hashBy[bcol] = index.BuildHash(bn.b, bcol)
+			}
+			pp.hash = hashBy[bcol]
+		case filters.Range:
+			if treeBy[bcol] == nil {
+				treeBy[bcol] = index.BuildTree(bn.b, bcol)
+			}
+			pp.tree = treeBy[bcol]
+		case filters.PrefixSet, filters.ShareGram:
+			spec := filters.IndexSpec{Kind: bp.Kind, ACol: bcol, Token: bp.Feat.Token, Measure: bp.Feat.Measure}
+			if bp.Kind == filters.ShareGram {
+				spec.Token, spec.Measure = tokenize.Gram3, simfn.MLevenshtein
+			}
+			pd := bn.prefixData(spec.Key())
+			if pd == nil {
+				return fmt.Errorf("serve: artifact missing prefix index %s", spec.Key())
+			}
+			if bp.Threshold < pd.Threshold {
+				return fmt.Errorf("serve: prefix index %s built at threshold %g, predicate needs %g",
+					spec.Key(), pd.Threshold, bp.Threshold)
+			}
+			if prefixBy[spec.Key()] == nil {
+				prefixBy[spec.Key()] = index.PrefixFromParts(pd.Token, pd.Threshold, index.OrderingOf(pd.Ranked), pd.Post, pd.SetLen)
+			}
+			pp.prefix = prefixBy[spec.Key()]
+			pp.ord = pp.prefix.Ord()
+		}
+		if pp.tree != nil || pp.prefix != nil {
+			pp.slot = bn.nPredSlots
+			bn.nPredSlots++
+		}
+		bn.probe = append(bn.probe, pp)
+	}
+	return nil
+}
 
-	bn.clauses = make([]clausePlan, len(an.Clauses))
-	for ci := range an.Clauses {
-		info := &an.Clauses[ci]
-		cp := &bn.clauses[ci]
-		cp.filterable = info.Filterable
-		for _, bp := range info.Preds {
-			pp := predPlan{
-				pred:      bp.Pred,
-				kind:      bp.Kind,
-				measure:   bp.Feat.Measure,
-				threshold: bp.Threshold,
-				feat:      bn.blockingIdx[bp.Pred.Feature],
-				acol:      bp.Feat.BCol, // flipped: the record-side column
-				slot:      -1,
-			}
-			bcol := bp.Feat.ACol // flipped: the indexed B column
-			switch bp.Kind {
-			case filters.Equivalence:
-				if hashBy[bcol] == nil {
-					hashBy[bcol] = index.BuildHash(bn.b, bcol)
-				}
-				pp.hash = hashBy[bcol]
-			case filters.Range:
-				if treeBy[bcol] == nil {
-					treeBy[bcol] = index.BuildTree(bn.b, bcol)
-				}
-				pp.tree = treeBy[bcol]
-			case filters.PrefixSet, filters.ShareGram:
-				spec := filters.IndexSpec{Kind: bp.Kind, ACol: bcol, Token: bp.Feat.Token, Measure: bp.Feat.Measure}
-				if bp.Kind == filters.ShareGram {
-					spec.Token, spec.Measure = tokenize.Gram3, simfn.MLevenshtein
-				}
-				idx := prefixByKey[spec.Key()]
-				if idx == nil {
-					return fmt.Errorf("serve: artifact missing prefix index %s", spec.Key())
-				}
-				if bp.Threshold < thrByKey[spec.Key()] {
-					return fmt.Errorf("serve: prefix index %s built at threshold %g, predicate needs %g",
-						spec.Key(), thrByKey[spec.Key()], bp.Threshold)
-				}
-				pp.prefix = idx
-				pp.ord = idx.Ord()
-				pp.slot = bn.nPredSlots
-				bn.nPredSlots++
-			}
-			cp.preds = append(cp.preds, pp)
+// prefixData finds the artifact's prefix index for a spec key, or nil.
+func (bn *Bundle) prefixData(key string) *model.PrefixData {
+	for i := range bn.art.Prefix {
+		if pd := &bn.art.Prefix[i]; pd.Spec().Key() == key {
+			return pd
 		}
 	}
 	return nil

@@ -2,13 +2,18 @@ package serve
 
 import (
 	"bytes"
+	"context"
+	"slices"
 	"testing"
 
 	"falcon/internal/block"
 	"falcon/internal/core"
 	"falcon/internal/crowd"
 	"falcon/internal/datagen"
+	"falcon/internal/feature"
+	"falcon/internal/filters"
 	"falcon/internal/model"
+	"falcon/internal/rules"
 )
 
 // trainSongs runs the full batch workflow at laptop scale and returns the
@@ -174,5 +179,92 @@ func TestNewBundleRejectsModelOnlyArtifact(t *testing.T) {
 	}
 	if _, err := NewBundle(nil); err == nil {
 		t.Fatal("bundle built from nil artifact")
+	}
+}
+
+// TestServeMatchesBatchProducts checks serve against batch on a
+// Products-shaped artifact whose Q mixes Range and prefix clauses, probed
+// through each kind: the trained artifact (its lowest ClauseSel names a
+// prefix clause) and a copy whose ClauseSel makes a Range clause the
+// lowest. MatchOne must return the batch matches of every A row, in
+// ascending B order, each scored with the batch Forest.Confidence of the
+// full vector.
+func TestServeMatchesBatchProducts(t *testing.T) {
+	opt := core.DefaultOptions()
+	opt.Seed = 5
+	opt.Platform = crowd.NewRandomWorkers(0, 0, 6)
+	force, greedy := true, block.ApplyGreedy
+	opt.ForceBlocking, opt.ForceStrategy = &force, &greedy
+	d := datagen.Products(0.05, 101)
+	res, err := core.Run(d.A, d.B, d.Oracle(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	art := loadBundle(t, res).Artifact()
+
+	// Find a Range clause (a numeric distance bounded above) and a prefix
+	// clause (a set similarity bounded below) in Q.
+	rangeClause, prefixClause := -1, -1
+	for ci, r := range art.RuleSeq {
+		if len(r.Preds) != 1 {
+			continue
+		}
+		keep := r.Preds[0].Negate()
+		m := art.Feats[art.BlockingIdx[keep.Feature]].Measure
+		switch {
+		case m.NumericBased() && (keep.Op == rules.LE || keep.Op == rules.LT):
+			rangeClause = ci
+		case feature.CountSet(m) && (keep.Op == rules.GT || keep.Op == rules.GE):
+			prefixClause = ci
+		}
+	}
+	if rangeClause < 0 || prefixClause < 0 {
+		t.Fatalf("Q = %v does not mix Range and prefix clauses", rules.ToCNF(art.RuleSeq))
+	}
+	rangeLowest := *art.TrainedModel()
+	rangeLowest.ClauseSel = slices.Clone(art.ClauseSel)
+	rangeLowest.ClauseSel[rangeClause] = slices.Min(art.ClauseSel) / 2
+	alt := model.NewMatcherArtifact(&rangeLowest, &model.ServingData{
+		Feats: art.Feats, Corpora: art.Corpora, AName: art.AName, AAttrs: art.AAttrs,
+		B: art.B, Corrs: art.Corrs, Prefix: art.Prefix, Dicts: art.Dicts,
+	})
+
+	for _, tc := range []struct {
+		name string
+		art  *model.MatcherArtifact
+		kind filters.Kind
+	}{{"prefix-probe", art, filters.PrefixSet}, {"range-probe", alt, filters.Range}} {
+		bn, err := NewBundle(tc.art)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(bn.probe) != 1 || bn.probe[0].kind != tc.kind {
+			t.Fatalf("%s: bundle probes %d predicates, want one %v predicate", tc.name, len(bn.probe), tc.kind)
+		}
+		batch, _, err := tc.art.ApplyContext(context.Background(), nil, d.A, d.B)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(batch) == 0 {
+			t.Fatalf("%s: batch apply found no matches; the check is vacuous", tc.name)
+		}
+		set, err := tc.art.TrainedModel().Bind(d.A, d.B)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vz := feature.NewVectorizer(set, d.A, d.B)
+		want := make([][]Match, d.A.Len())
+		for _, p := range batch {
+			want[p.A] = append(want[p.A], Match{BRow: p.B, Score: tc.art.Matcher.Confidence(vz.Vector(p).Values)})
+		}
+		for a := 0; a < d.A.Len(); a++ {
+			got, err := bn.MatchOne(d.A.Tuples[a].Values)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want[a]) {
+				t.Fatalf("%s row %d: serve %v, batch %v", tc.name, a, got, want[a])
+			}
+		}
 	}
 }

@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build falcon-vet falcon-vet-diff vet-fix test perfbench race bench scale
+.PHONY: check fmt vet build falcon-vet falcon-vet-diff vet-fix test examples perfbench race bench scale
 
-check: fmt vet build falcon-vet test perfbench race
+check: fmt vet build falcon-vet test examples perfbench race
 	@echo "all gates passed"
 
 fmt:
@@ -37,6 +37,12 @@ vet-fix:
 
 test:
 	$(GO) test ./...
+
+# examples runs every examples/* program end to end rather than only
+# compiling it, so a model-format or API change that breaks one at run
+# time fails the gate.
+examples:
+	@set -e; for d in examples/*/; do echo "== $$d"; $(GO) run "./$$d"; done
 
 # perfbench builds, vets and tests the wall-clock benchmark module. It is a
 # module of its own (replace falcon => ../), so the root ./... never

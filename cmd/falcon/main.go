@@ -25,6 +25,16 @@
 // train pays the crowd once and freezes everything matching needs into a
 // versioned artifact file; serve loads it and answers point lookups with no
 // crowd, no training, and no locks on the hot path.
+//
+// serve is also the whole EM cloud service: submit two CSV tables and a
+// crowd budget, poll the job, download the matches and the learned model
+// (-job-timeout bounds each job's wall time):
+//
+//	curl -F tableA=@a.csv -F tableB=@b.csv -F oracle_key=isbn \
+//	     -F budget=300 http://localhost:8080/jobs
+//	curl http://localhost:8080/jobs/job-1
+//	curl http://localhost:8080/jobs/job-1/matches
+//	curl -o model.falcon http://localhost:8080/jobs/job-1/model
 package main
 
 import (
@@ -262,17 +272,19 @@ func runTrain(args []string) error {
 }
 
 // runServe is the serve phase: load a frozen artifact and answer
-// POST /match/one point lookups over HTTP — no crowd, no training.
+// POST /match/one point lookups over HTTP — no crowd, no training — next to
+// the crowd-backed job routes of the EM service.
 func runServe(args []string) error {
 	fs := flag.NewFlagSet("falcon serve", flag.ExitOnError)
 	var (
-		addr    = fs.String("addr", ":8080", "listen address")
-		artPath = fs.String("artifact", "", "artifact file written by `falcon train` (optional; server starts empty and accepts PUT /artifacts/current)")
+		addr       = fs.String("addr", ":8080", "listen address")
+		artPath    = fs.String("artifact", "", "artifact file written by `falcon train` (optional; server starts empty and accepts PUT /artifacts/current)")
+		jobTimeout = fs.Duration("job-timeout", 0, "cancel POST /jobs runs longer than this (0 = no limit)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	srv := service.New()
+	srv := service.New(service.WithJobTimeout(*jobTimeout))
 	if *artPath != "" {
 		f, err := os.Open(*artPath)
 		if err != nil {

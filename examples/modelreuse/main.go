@@ -36,7 +36,7 @@ func main() {
 		f1(train, report.Matches)*100, report.CrowdCost, report.Questions)
 
 	blob := report.Model()
-	fmt.Printf("Exported model: %d bytes of JSON (rules + random forest)\n", len(blob))
+	fmt.Printf("Exported model: %d-byte model-only artifact (rules + random forest)\n", len(blob))
 
 	// A week later: refreshed catalogs, same schema — no crowd needed.
 	fresh := datagen.Songs(800, 99)

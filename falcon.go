@@ -155,10 +155,9 @@ type Report struct {
 	// RoundF1 records the estimated F1 of each iterative-workflow round.
 	RoundF1 []float64
 
-	modelJSON []byte
-	artifact  *model.MatcherArtifact
-	gantt     string
-	explain   string
+	artifact *model.MatcherArtifact
+	gantt    string
+	explain  string
 }
 
 // Explain returns the executed EM plan in RDBMS EXPLAIN style: operators in
@@ -171,15 +170,26 @@ func (r *Report) Explain() string { return r.explain }
 // hid under crowd time.
 func (r *Report) Gantt() string { return r.gantt }
 
-// Model returns the learned model (blocking rules + matcher) serialized as
-// JSON. Feed it to ApplyModel to re-match schema-compatible tables with no
-// crowd involvement. Returns nil if the run learned no matcher.
-func (r *Report) Model() []byte { return r.modelJSON }
+// Model returns the learned model (blocking rules + matcher) as a
+// model-only artifact: the versioned binary format of SaveArtifact without
+// the serving payload. Feed it to ApplyModel to re-match schema-compatible
+// tables with no crowd involvement. Returns nil if the run learned no
+// matcher.
+func (r *Report) Model() []byte {
+	if r.artifact == nil {
+		return nil
+	}
+	var buf bytes.Buffer
+	if err := r.artifact.SaveModel(&buf); err != nil {
+		return nil
+	}
+	return buf.Bytes()
+}
 
 // SaveArtifact writes the run's complete serving artifact — model, frozen B
 // table, token dictionaries, corpus statistics, and prefix indexes — in the
-// versioned binary format that `falcon serve` and the falcon-server artifact
-// endpoints load. Returns an error if the run learned no matcher.
+// versioned binary format that `falcon serve` and its artifact endpoints
+// load. Returns an error if the run learned no matcher.
 func (r *Report) SaveArtifact(w io.Writer) error {
 	if r.artifact == nil {
 		return fmt.Errorf("falcon: run learned no matcher; no artifact to save")
@@ -192,11 +202,13 @@ func (r *Report) HasArtifact() bool { return r.artifact != nil }
 
 // ApplyModel re-applies a previously learned model to two tables: it runs
 // the stored blocking-rule sequence and matcher, asking the crowd nothing.
-func ApplyModel(modelJSON []byte, a, b *Table) ([]Pair, error) {
+// blob is an artifact, either the model-only one from Report.Model or the
+// complete one written by Report.SaveArtifact.
+func ApplyModel(blob []byte, a, b *Table) ([]Pair, error) {
 	if a == nil || b == nil {
 		return nil, fmt.Errorf("falcon: nil table")
 	}
-	m, err := model.Load(bytes.NewReader(modelJSON))
+	m, err := model.LoadArtifact(bytes.NewReader(blob))
 	if err != nil {
 		return nil, err
 	}
@@ -482,12 +494,6 @@ func buildReport(res *core.Result) *Report {
 	vclock.RenderGantt(&gantt, res.Tasks, 100)
 	r.gantt = gantt.String()
 	r.explain = res.Explain()
-	if res.Model != nil {
-		var buf bytes.Buffer
-		if err := res.Model.Save(&buf); err == nil {
-			r.modelJSON = buf.Bytes()
-		}
-	}
 	r.artifact = res.Artifact
 	if res.Accuracy != nil {
 		r.Estimate = &AccuracyEstimate{

@@ -1,13 +1,17 @@
 package falcon
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"falcon/internal/core"
 	"falcon/internal/datagen"
+	"falcon/internal/forest"
+	"falcon/internal/model"
 	"falcon/internal/table"
 )
 
@@ -269,6 +273,27 @@ func TestModelExportAndApply(t *testing.T) {
 	if f1 := scoreF1(d, again); f1 < 0.6 {
 		t.Fatalf("re-applied model F1 = %.3f", f1)
 	}
+	// The blob is a model-only artifact: it loads through the one artifact
+	// decoder and carries no serving payload.
+	art, err := model.LoadArtifact(bytes.NewReader(blob))
+	if err != nil {
+		t.Fatalf("model blob is not an artifact: %v", err)
+	}
+	if art.B != nil {
+		t.Fatal("model-only artifact carries a B table")
+	}
+	// The complete serving artifact applies exactly like the model blob.
+	var full bytes.Buffer
+	if err := report.SaveArtifact(&full); err != nil {
+		t.Fatal(err)
+	}
+	fromFull, err := ApplyModel(full.Bytes(), WrapTable(d.A), WrapTable(d.B))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(fromFull, again) {
+		t.Fatalf("full artifact applied to %d pairs, model blob to %d", len(fromFull), len(again))
+	}
 	// Re-apply to a *fresh* same-shape dataset: the learned model
 	// transfers without any further crowdsourcing.
 	d2 := datagen.Songs(400, 77)
@@ -282,6 +307,72 @@ func TestModelExportAndApply(t *testing.T) {
 	// Garbage rejects.
 	if _, err := ApplyModel([]byte("junk"), WrapTable(d.A), WrapTable(d.B)); err == nil {
 		t.Fatal("junk model should fail")
+	}
+}
+
+// TestApplyModelRejectsBadModel corrupts one learned-model field at a time
+// and writes each result with Save, so every bad artifact carries a valid
+// checksum. Loading and applying it must both return an error, never
+// reach a panic inside the matcher or the blocking rules.
+func TestApplyModelRejectsBadModel(t *testing.T) {
+	d := datagen.Songs(150, 5)
+	report, err := Match(WrapTable(d.A), WrapTable(d.B), dsLabeler(d),
+		WithSeed(3), WithSampleSize(1000), WithMaxIterations(4), WithBlocking(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob := report.Model()
+	if len(report.artifact.RuleSeq) == 0 {
+		t.Fatal("run retained no blocking rule; the predicate cases need one")
+	}
+	firstSplit := func(m *model.Model) *forest.Node {
+		for _, tr := range m.Matcher.Trees {
+			if !tr.Root.IsLeaf() {
+				return tr.Root
+			}
+		}
+		t.Fatal("matcher has no split")
+		return nil
+	}
+	cases := []struct {
+		name    string
+		corrupt func(m *model.Model)
+	}{
+		{"split feature past the feature space", func(m *model.Model) { firstSplit(m).Feature = 1 << 20 }},
+		{"negative split feature", func(m *model.Model) { firstSplit(m).Feature = -5 }},
+		{"blocking index past the feature space", func(m *model.Model) { m.BlockingIdx[0] = 1 << 20 }},
+		{"negative blocking index", func(m *model.Model) { m.BlockingIdx[0] = -1 }},
+		{"predicate feature past the blocking space", func(m *model.Model) { m.RuleSeq[0].Preds[0].Feature = 1 << 20 }},
+		{"unknown predicate op", func(m *model.Model) { m.RuleSeq[0].Preds[0].Op = 99 }},
+		{"selectivity per rule", func(m *model.Model) { m.ClauseSel = append(m.ClauseSel, 0.5) }},
+		{"missing matcher", func(m *model.Model) { m.Matcher = nil }},
+		{"tree deeper than the limit", func(m *model.Model) {
+			n := &forest.Node{Feature: -1}
+			for i := 0; i <= forest.MaxDepthLimit; i++ {
+				n = &forest.Node{Feature: 0, Left: n, Right: &forest.Node{Feature: -1}}
+			}
+			m.Matcher.Trees[0].Root = n
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			// A fresh decode per case, so corruptions never accumulate.
+			art, err := model.LoadArtifact(bytes.NewReader(blob))
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.corrupt(art.TrainedModel())
+			var bad bytes.Buffer
+			if err := art.Save(&bad); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := model.LoadArtifact(bytes.NewReader(bad.Bytes())); err == nil {
+				t.Error("LoadArtifact accepted the bad model")
+			}
+			if _, err := ApplyModel(bad.Bytes(), WrapTable(d.A), WrapTable(d.B)); err == nil {
+				t.Error("ApplyModel accepted the bad model")
+			}
+		})
 	}
 }
 

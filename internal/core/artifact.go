@@ -108,5 +108,5 @@ func (st *runState) buildArtifact() *model.MatcherArtifact {
 			})
 		}
 	}
-	return model.NewMatcherArtifact(st.res.Model, sv)
+	return model.NewMatcherArtifact(model.New(st.set, st.modelSeq, st.modelSel, st.res.MatchingForest), sv)
 }

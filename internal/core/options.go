@@ -164,13 +164,11 @@ type Result struct {
 	BlockingForest *forest.Forest
 	MatchingForest *forest.Forest
 
-	// Model is the exportable learned model (rule sequence + matcher),
-	// re-appliable to schema-compatible tables without a crowd.
-	Model *model.Model
-
-	// Artifact is the complete serving artifact (the train/serve
-	// contract): the model plus frozen dictionaries, corpora, B-row ID
-	// sets, and the prefix indexes over B that the point-match path
-	// probes. Nil when no matcher was learned.
+	// Artifact is the run's learned model and complete serving artifact
+	// (the train/serve contract): the rule sequence and matcher,
+	// re-appliable to schema-compatible tables without a crowd, plus the
+	// frozen dictionaries, corpora, B-row ID sets, and the prefix indexes
+	// over B that the point-match path probes. Nil when no matcher was
+	// learned.
 	Artifact *model.MatcherArtifact
 }

@@ -14,7 +14,6 @@ import (
 	"falcon/internal/forest"
 	"falcon/internal/learn"
 	"falcon/internal/mapreduce"
-	"falcon/internal/model"
 	"falcon/internal/rules"
 	"falcon/internal/rulesel"
 	"falcon/internal/sample"
@@ -123,7 +122,6 @@ func TrainContext(ctx context.Context, a, b *table.Table, oracle learn.Oracle, o
 	st.res.Timeline = st.tl.Stats()
 	st.res.Tasks = st.tl.Tasks()
 	if st.res.MatchingForest != nil {
-		st.res.Model = model.New(st.set, st.modelSeq, st.modelSel, st.res.MatchingForest)
 		st.res.Artifact = st.buildArtifact()
 	}
 	led := st.cr.Ledger()

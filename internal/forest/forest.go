@@ -76,11 +76,16 @@ func (t *Tree) PredictOn(vals Values) bool {
 	return n.Match
 }
 
+// MaxDepthLimit bounds the depth of every tree, root at depth 0: Config
+// clamps MaxDepth to it and the artifact decoder rejects deeper trees, so
+// every forest Train can produce also loads.
+const MaxDepthLimit = 64
+
 // Config controls forest training.
 type Config struct {
 	// NumTrees is the forest size (default 10, as in Corleone).
 	NumTrees int
-	// MaxDepth bounds tree depth (default 10).
+	// MaxDepth bounds tree depth (default 10, at most MaxDepthLimit).
 	MaxDepth int
 	// MinLeaf is the minimum examples per leaf (default 2).
 	MinLeaf int
@@ -98,6 +103,7 @@ func (c Config) withDefaults() Config {
 	if c.MaxDepth <= 0 {
 		c.MaxDepth = 10
 	}
+	c.MaxDepth = min(c.MaxDepth, MaxDepthLimit)
 	if c.MinLeaf <= 0 {
 		c.MinLeaf = 2
 	}

@@ -130,6 +130,17 @@ func TestMaxDepthRespected(t *testing.T) {
 	}
 }
 
+// TestMaxDepthClamped pins the clamp that keeps every trainable forest
+// loadable: the artifact decoder rejects trees deeper than MaxDepthLimit.
+func TestMaxDepthClamped(t *testing.T) {
+	if got := (Config{MaxDepth: 1 << 20}).withDefaults().MaxDepth; got != MaxDepthLimit {
+		t.Fatalf("MaxDepth clamped to %d, want %d", got, MaxDepthLimit)
+	}
+	if got := (Config{}).withDefaults().MaxDepth; got != 10 {
+		t.Fatalf("default MaxDepth = %d, want 10", got)
+	}
+}
+
 func TestVotesAndConfidence(t *testing.T) {
 	train := linearData(300, 9, 0)
 	f := Train(train, Config{Seed: 1})

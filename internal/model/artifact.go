@@ -1,25 +1,22 @@
 package model
 
 import (
-	"context"
 	"fmt"
 	"maps"
 
 	"falcon/internal/filters"
-	"falcon/internal/forest"
 	"falcon/internal/index"
-	"falcon/internal/mapreduce"
 	"falcon/internal/rules"
 	"falcon/internal/simfn"
 	"falcon/internal/table"
 	"falcon/internal/tokenize"
 )
 
-// ArtifactVersion is bumped on breaking changes to the serving-artifact
-// layout, independently of the trained-model format (Version). Version 2
-// grew the artifact from rules/forest/dicts into the complete serving
-// contract: feature specs, corpora, the frozen B table, per-correspondence
-// B-row ID sets, and the prefix-index postings over B.
+// ArtifactVersion is bumped on breaking changes to the artifact layout, the
+// one serialized form of a learned model. Version 2 grew the artifact from
+// rules/forest/dicts into the complete serving contract: feature specs,
+// corpora, the frozen B table, per-correspondence B-row ID sets, and the
+// prefix-index postings over B.
 const ArtifactVersion = 2
 
 // FeatureSpec is one feature's serialized definition. Together with the
@@ -109,28 +106,21 @@ type ServingData struct {
 // every call site under the immutpublish analyzer, and a model swap
 // replaces the whole artifact (clone-then-swap), never patches one in
 // place.
+//
+// The embedded Model is the learned half; its Bind, Apply and ApplyContext
+// are the batch apply half of the train/serve split.
 type MatcherArtifact struct {
 	// Version is the artifact layout version (ArtifactVersion).
 	Version int
-	// FeatureNames is the feature-space signature in vector order; a
-	// request-time vectorizer must bind to exactly this space.
-	FeatureNames []string
-	// BlockingIdx indexes the blocking-feature subspace.
-	BlockingIdx []int
-	// RuleSeq and ClauseSel are the learned blocking-rule sequence and its
-	// per-rule sample selectivities.
-	RuleSeq   []rules.Rule
-	ClauseSel []float64
-	// Matcher is the matching-stage forest. Forests are immutable after
-	// Train, so the artifact shares the reference.
-	Matcher *forest.Forest
+	Model
 	// Dicts references the frequency-ordered token dictionaries, keyed by
 	// CorrKey, so probe values can be ID-encoded for the allocation-free
 	// ProbeIDs path. Rebuilt from Corrs on Load.
 	Dicts map[string]*tokenize.Dict
 
-	// Serving payload (nil/empty on interim artifacts the batch path
-	// builds mid-run, where A, B, and the vectorizer are still live).
+	// Serving payload (nil/empty on model-only artifacts: the interim ones
+	// the batch path builds mid-run, where A, B, and the vectorizer are
+	// still live, and the exported model of falcon.Report.Model).
 	Feats   []FeatureSpec
 	Corpora []CorpusData
 	AName   string
@@ -142,21 +132,18 @@ type MatcherArtifact struct {
 
 // NewMatcherArtifact assembles the serving artifact from a trained model
 // and the serving-side state the train phase froze (sv may be nil for
-// interim artifacts that only carry the model). Slice spines and the
-// dictionary map are copied, so later mutation of the inputs cannot reach
-// the artifact; the forest, dictionaries, B table, ID sets, and postings
-// are shared (all immutable once built).
+// model-only artifacts). Slice spines and the dictionary map are copied, so
+// later mutation of the inputs cannot reach the artifact; the forest,
+// dictionaries, B table, ID sets, and postings are shared (all immutable
+// once built).
 //
 //falcon:frozen
 func NewMatcherArtifact(m *Model, sv *ServingData) *MatcherArtifact {
-	a := &MatcherArtifact{
-		Version:      ArtifactVersion,
-		FeatureNames: append([]string(nil), m.FeatureNames...),
-		BlockingIdx:  append([]int(nil), m.BlockingIdx...),
-		RuleSeq:      append([]rules.Rule(nil), m.RuleSeq...),
-		ClauseSel:    append([]float64(nil), m.ClauseSel...),
-		Matcher:      m.Matcher,
-	}
+	a := &MatcherArtifact{Version: ArtifactVersion, Model: *m}
+	a.FeatureNames = append([]string(nil), m.FeatureNames...)
+	a.BlockingIdx = append([]int(nil), m.BlockingIdx...)
+	a.RuleSeq = append([]rules.Rule(nil), m.RuleSeq...)
+	a.ClauseSel = append([]float64(nil), m.ClauseSel...)
 	if sv != nil {
 		a.Dicts = maps.Clone(sv.Dicts)
 		a.Feats = append([]FeatureSpec(nil), sv.Feats...)
@@ -170,29 +157,6 @@ func NewMatcherArtifact(m *Model, sv *ServingData) *MatcherArtifact {
 	return a
 }
 
-// TrainedModel reconstructs the trained-model view of the artifact. The
-// returned model shares the artifact's slices and forest; callers treat it
-// as read-only.
-func (a *MatcherArtifact) TrainedModel() *Model {
-	return &Model{
-		Version:      Version,
-		FeatureNames: a.FeatureNames,
-		BlockingIdx:  a.BlockingIdx,
-		RuleSeq:      a.RuleSeq,
-		ClauseSel:    a.ClauseSel,
-		Matcher:      a.Matcher,
-	}
-}
-
-// Apply is the batch apply half of the train/serve split: it runs the
-// artifact's blocking rules and matcher over a new table pair with no
-// crowd involved, returning predicted matches and the surviving candidate
-// count.
-func (a *MatcherArtifact) Apply(cluster *mapreduce.Cluster, ta, tb *table.Table) ([]table.Pair, int, error) {
-	return a.ApplyContext(context.Background(), cluster, ta, tb)
-}
-
-// ApplyContext is Apply honoring ctx cancellation inside the blocking jobs.
-func (a *MatcherArtifact) ApplyContext(ctx context.Context, cluster *mapreduce.Cluster, ta, tb *table.Table) ([]table.Pair, int, error) {
-	return a.TrainedModel().ApplyContext(ctx, cluster, ta, tb)
-}
+// TrainedModel returns the artifact's learned model. It shares the
+// artifact's slices and forest; callers treat it as read-only.
+func (a *MatcherArtifact) TrainedModel() *Model { return &a.Model }

@@ -14,7 +14,6 @@ import (
 // frozen — see //falcon:frozen on the constructor).
 func TestNewMatcherArtifact(t *testing.T) {
 	m := &Model{
-		Version:      Version,
 		FeatureNames: []string{"jaccard_word(title)", "abs_diff(price)"},
 		BlockingIdx:  []int{0},
 		RuleSeq:      make([]rules.Rule, 1),

@@ -229,9 +229,17 @@ func (a *MatcherArtifact) Save(w io.Writer) error {
 	return nil
 }
 
+// SaveModel writes the model-only artifact: the learned model in the Save
+// format with an empty serving payload. It is the exported form of a
+// learned model; LoadArtifact reads it back.
+func (a *MatcherArtifact) SaveModel(w io.Writer) error {
+	return NewMatcherArtifact(&a.Model, nil).Save(w)
+}
+
 // LoadArtifact reads an artifact written by Save, verifying the magic, the
-// layout version, and the payload checksum, and rebuilding the derived
-// in-memory state (the correspondence dictionaries).
+// layout version, the payload checksum, and the learned model's internal
+// references, and rebuilding the derived in-memory state (the
+// correspondence dictionaries). It is the one decoder of a learned model.
 func LoadArtifact(r io.Reader) (*MatcherArtifact, error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {
@@ -266,14 +274,14 @@ func LoadArtifact(r io.Reader) (*MatcherArtifact, error) {
 	if d.off != len(d.b) {
 		return nil, fmt.Errorf("model: artifact has %d trailing bytes", len(d.b)-d.off)
 	}
+	if err := a.validate(); err != nil {
+		return nil, err
+	}
 	a.Version = int(ver)
 	a.Dicts = make(map[string]*tokenize.Dict, len(a.Corrs))
 	for i := range a.Corrs {
 		c := &a.Corrs[i]
 		a.Dicts[CorrKey(c.ACol, c.BCol, c.Kind)] = tokenize.DictOf(c.Ranked)
-	}
-	if a.Matcher == nil {
-		return nil, fmt.Errorf("model: artifact missing matcher")
 	}
 	return a, nil
 }
@@ -558,12 +566,17 @@ func decodeForest(d *decoder) *forest.Forest {
 	f := &forest.Forest{NumFeatures: d.i()}
 	nt := d.n()
 	for i := 0; i < nt && d.err == nil; i++ {
-		f.Trees = append(f.Trees, &forest.Tree{Root: decodeNode(d)})
+		f.Trees = append(f.Trees, &forest.Tree{Root: decodeNode(d, 0)})
 	}
 	return f
 }
 
-func decodeNode(d *decoder) *forest.Node {
+// decodeNode reads the subtree rooted at depth, bounding the recursion at
+// forest.MaxDepthLimit.
+func decodeNode(d *decoder, depth int) *forest.Node {
+	if d.err == nil && depth > forest.MaxDepthLimit {
+		d.err = fmt.Errorf("model: artifact tree deeper than %d", forest.MaxDepthLimit)
+	}
 	if d.err != nil {
 		return &forest.Node{Feature: -1}
 	}
@@ -575,8 +588,8 @@ func decodeNode(d *decoder) *forest.Node {
 		NNeg:      d.i(),
 	}
 	if n.Feature >= 0 {
-		n.Left = decodeNode(d)
-		n.Right = decodeNode(d)
+		n.Left = decodeNode(d, depth+1)
+		n.Right = decodeNode(d, depth+1)
 	}
 	return n
 }

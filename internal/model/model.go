@@ -1,14 +1,13 @@
-// Package model serializes what a Falcon run learns — the blocking-rule
+// Package model holds what a Falcon run learns — the blocking-rule
 // sequence and the random-forest matcher, bound to a feature-space
-// signature — so an EM service can train once with the crowd and re-apply
-// the learned model to refreshed tables with no further crowdsourcing.
+// signature — and freezes it into the versioned binary MatcherArtifact, so
+// an EM service can train once with the crowd and re-apply the learned
+// model to refreshed tables with no further crowdsourcing.
 package model
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 
 	"falcon/internal/block"
 	"falcon/internal/feature"
@@ -19,30 +18,27 @@ import (
 	"falcon/internal/table"
 )
 
-// Version is bumped on breaking format changes.
-const Version = 1
-
-// Model is the serializable outcome of hands-off learning.
+// Model is the outcome of hands-off learning. It is serialized only as
+// part of a MatcherArtifact, which embeds it.
 type Model struct {
-	Version int `json:"version"`
 	// FeatureNames is the full feature space in vector order; it must
 	// regenerate identically from schema-compatible tables.
-	FeatureNames []string `json:"feature_names"`
+	FeatureNames []string
 	// BlockingIdx indexes the blocking-feature subspace.
-	BlockingIdx []int `json:"blocking_idx"`
+	BlockingIdx []int
 	// RuleSeq is the selected blocking-rule sequence over blocking-vector
 	// positions; empty means the matcher-only plan.
-	RuleSeq []rules.Rule `json:"rule_seq"`
+	RuleSeq []rules.Rule
 	// ClauseSel holds each rule's sample selectivity (for apply-greedy).
-	ClauseSel []float64 `json:"clause_sel"`
+	ClauseSel []float64
 	// Matcher is the matching-stage forest over the full feature space.
-	Matcher *forest.Forest `json:"matcher"`
+	// Forests are immutable after Train, so models share the reference.
+	Matcher *forest.Forest
 }
 
 // New assembles a model from learned artifacts.
 func New(set *feature.Set, seq []rules.Rule, clauseSel []float64, matcher *forest.Forest) *Model {
 	m := &Model{
-		Version:     Version,
 		BlockingIdx: append([]int(nil), set.BlockingIdx...),
 		RuleSeq:     seq,
 		ClauseSel:   clauseSel,
@@ -54,26 +50,52 @@ func New(set *feature.Set, seq []rules.Rule, clauseSel []float64, matcher *fores
 	return m
 }
 
-// Save writes the model as JSON.
-func (m *Model) Save(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(m)
-}
-
-// Load reads a model written by Save.
-func Load(r io.Reader) (*Model, error) {
-	var m Model
-	if err := json.NewDecoder(r).Decode(&m); err != nil {
-		return nil, fmt.Errorf("model: decoding: %w", err)
-	}
-	if m.Version != Version {
-		return nil, fmt.Errorf("model: version %d unsupported (want %d)", m.Version, Version)
-	}
+// validate checks the model's internal references, so a corrupt artifact
+// fails to load instead of panicking when applied: every blocking index and
+// split names a feature, every predicate names a blocking feature with a
+// known operator, and each rule has a selectivity.
+func (m *Model) validate() error {
 	if m.Matcher == nil {
-		return nil, fmt.Errorf("model: missing matcher")
+		return fmt.Errorf("model: missing matcher")
 	}
-	return &m, nil
+	nf := len(m.FeatureNames)
+	for i, idx := range m.BlockingIdx {
+		if idx < 0 || idx >= nf {
+			return fmt.Errorf("model: blocking feature %d is %d, outside %d features", i, idx, nf)
+		}
+	}
+	for i, r := range m.RuleSeq {
+		for _, p := range r.Preds {
+			if p.Feature < 0 || p.Feature >= len(m.BlockingIdx) {
+				return fmt.Errorf("model: rule %d reads blocking feature %d, outside %d", i, p.Feature, len(m.BlockingIdx))
+			}
+			if !p.Op.Valid() {
+				return fmt.Errorf("model: rule %d has unknown op %d", i, int(p.Op))
+			}
+		}
+	}
+	if len(m.ClauseSel) != len(m.RuleSeq) {
+		return fmt.Errorf("model: %d clause selectivities for %d rules", len(m.ClauseSel), len(m.RuleSeq))
+	}
+	var check func(n *forest.Node) error
+	check = func(n *forest.Node) error {
+		if n.IsLeaf() {
+			return nil
+		}
+		if n.Feature < 0 || n.Feature >= nf {
+			return fmt.Errorf("model: matcher splits on feature %d, outside %d features", n.Feature, nf)
+		}
+		if err := check(n.Left); err != nil {
+			return err
+		}
+		return check(n.Right)
+	}
+	for _, t := range m.Matcher.Trees {
+		if err := check(t.Root); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Bind regenerates the feature space for a new table pair and verifies it

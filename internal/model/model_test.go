@@ -72,13 +72,15 @@ func trainWorld(t *testing.T, n int, seed int64) (*table.Table, *table.Table, *f
 	return a, b, set, m
 }
 
+// TestSaveLoadRoundTrip round-trips a model-only artifact: the loaded model
+// keeps its structure and applies exactly like the original.
 func TestSaveLoadRoundTrip(t *testing.T) {
 	a, b, _, m := trainWorld(t, 60, 1)
 	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
+	if err := NewMatcherArtifact(m, nil).Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	m2, err := Load(&buf)
+	m2, err := LoadArtifact(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,14 +186,17 @@ func TestBindRejectsSchemaMismatch(t *testing.T) {
 }
 
 func TestLoadRejectsBadInput(t *testing.T) {
-	if _, err := Load(strings.NewReader("not json")); err == nil {
+	if _, err := LoadArtifact(strings.NewReader("not an artifact")); err == nil {
 		t.Fatal("garbage should fail")
 	}
-	if _, err := Load(strings.NewReader(`{"version": 99}`)); err == nil {
-		t.Fatal("wrong version should fail")
+	_, _, _, m := trainWorld(t, 20, 4)
+	m.Matcher = nil
+	var buf bytes.Buffer
+	if err := NewMatcherArtifact(m, nil).Save(&buf); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := Load(strings.NewReader(`{"version": 1}`)); err == nil {
-		t.Fatal("missing matcher should fail")
+	if _, err := LoadArtifact(&buf); err == nil || !strings.Contains(err.Error(), "missing matcher") {
+		t.Fatalf("missing matcher: got %v", err)
 	}
 }
 

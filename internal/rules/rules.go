@@ -35,6 +35,9 @@ const (
 	NE           // !=
 )
 
+// Valid reports whether o is one of the defined operators.
+func (o Op) Valid() bool { return o >= LE && o <= NE }
+
 // String implements fmt.Stringer.
 func (o Op) String() string {
 	switch o {

@@ -47,13 +47,12 @@ func infoOf(art *model.MatcherArtifact) artifactInfo {
 	return info
 }
 
-// handleVersion reports the serving contract's layout versions plus build
+// handleVersion reports the serving contract's layout version plus build
 // information — what a client needs to decide whether its saved artifacts
 // are loadable here.
 func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) {
 	out := map[string]any{
 		"artifact_version": model.ArtifactVersion,
-		"model_version":    model.Version,
 		"go":               runtime.Version(),
 	}
 	if bi, ok := debug.ReadBuildInfo(); ok {

@@ -69,8 +69,8 @@ func TestVersionEndpoint(t *testing.T) {
 	if int(out["artifact_version"].(float64)) != model.ArtifactVersion {
 		t.Fatalf("artifact_version = %v, want %d", out["artifact_version"], model.ArtifactVersion)
 	}
-	if int(out["model_version"].(float64)) != model.Version {
-		t.Fatalf("model_version = %v, want %d", out["model_version"], model.Version)
+	if _, ok := out["model_version"]; ok {
+		t.Fatal("model_version reported; the artifact layout is the only model format")
 	}
 	if !strings.HasPrefix(out["go"].(string), "go") {
 		t.Fatalf("go = %v", out["go"])

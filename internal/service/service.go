@@ -12,14 +12,15 @@
 //	GET    /jobs/{id}       status + report
 //	DELETE /jobs/{id}       cancel a pending/running job
 //	GET    /jobs/{id}/matches   matched row pairs as CSV
-//	GET    /jobs/{id}/model     the learned model as JSON
-//	GET    /jobs/{id}/artifact  the serving artifact (versioned binary)
+//	GET    /jobs/{id}/model     the learned model as a model-only artifact
+//	GET    /jobs/{id}/artifact  the complete serving artifact
+//	                        (both in the versioned binary format)
 //	POST   /artifacts       train synchronously and publish for serving
 //	PUT    /artifacts/current   load a binary artifact and swap it in
 //	GET    /artifacts/current   published artifact metadata
 //	POST   /match/one       {"record": {col: val}} → matches from the
 //	                        frozen B table (lock-free serving path)
-//	GET    /version         artifact/model layout versions + build info
+//	GET    /version         artifact layout version + build info
 //	GET    /healthz         liveness
 //
 // The demo crowd is simulated from the oracle_key column (with optional
@@ -456,10 +457,10 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "no such job")
 		return
 	}
-	if job.State != StateDone || job.result.Model == nil {
+	if job.State != StateDone || job.result.Artifact == nil {
 		httpError(w, http.StatusConflict, "job is %s or has no model", job.State)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = job.result.Model.Save(w)
+	w.Header().Set("Content-Type", "application/octet-stream")
+	_ = job.result.Artifact.SaveModel(w)
 }

@@ -149,18 +149,24 @@ func TestSubmitAndFetchLifecycle(t *testing.T) {
 		t.Fatalf("csv rows %d != summary matches %d", len(lines)-1, job.Matches)
 	}
 
-	// Model JSON loads.
+	// The model is a model-only artifact: it loads, without a B table.
 	resp, err = http.Get(ts.URL + "/jobs/" + id + "/model")
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := model.Load(resp.Body)
+	if ct := resp.Header.Get("Content-Type"); ct != "application/octet-stream" {
+		t.Fatalf("model Content-Type = %q", ct)
+	}
+	m, err := model.LoadArtifact(resp.Body)
 	resp.Body.Close()
 	if err != nil {
 		t.Fatalf("model endpoint: %v", err)
 	}
 	if m.Matcher == nil {
 		t.Fatal("model missing matcher")
+	}
+	if m.B != nil {
+		t.Fatal("model endpoint served the serving payload")
 	}
 
 	// List.
